@@ -9,7 +9,10 @@
 #   LEAST_SANITIZE_ONLY=1 scripts/check.sh  # just the sanitizer pass (CI)
 #   scripts/check.sh --bench-smoke          # build + run kernel_micro small;
 #                                           # writes build/BENCH_kernels.json
-#                                           # (CI uploads it as an artifact).
+#                                           # (CI uploads it as an artifact),
+#                                           # then `benchmark/run.sh --smoke`,
+#                                           # which gates on its output checks
+#                                           # only, never on timing.
 #                                           # The repo-root BENCH_kernels.json
 #                                           # is the committed paper-scale
 #                                           # record — refresh it by running
@@ -81,8 +84,12 @@ if [[ "$bench_smoke" != "0" ]]; then
    LEAST_BENCH_SCALE="${LEAST_BENCH_SCALE:-0.2}" \
    LEAST_FLEET_MAX_THREADS="${LEAST_FLEET_MAX_THREADS:-2}" \
      bench/fleet_throughput)
+  # The one-command benchmark at tiny sizes: catches a least_bench build
+  # break or a failed output check (e.g. a streamed fit no longer bitwise
+  # equal to the in-RAM fit). Exits non-zero only when a check fails.
+  benchmark/run.sh --smoke
   echo "check.sh: bench smoke done ($build_dir/BENCH_kernels.json and" \
-       "$build_dir/BENCH_fleet.json written)"
+       "$build_dir/BENCH_fleet.json written, benchmark smoke passed)"
   exit 0
 fi
 

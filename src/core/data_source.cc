@@ -79,58 +79,26 @@ void GatherFromCsr(const CsrMatrix& x, std::span<const int> rows,
   });
 }
 
-// ----------------------------------------------------- CSV shard scanning ---
-
-/// Reads one shard's byte extent from an already-open stream (seeks, so
-/// extents need not be contiguous — blank lines between shards belong to
-/// neither). A short read means the file shrank since it was scanned.
-Status ReadShardBytes(std::ifstream& in, const std::string& path,
-                      uint64_t byte_offset, uint64_t byte_size,
-                      std::string* buffer) {
-  buffer->assign(static_cast<size_t>(byte_size), '\0');
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(byte_offset));
-  in.read(buffer->data(), static_cast<std::streamsize>(byte_size));
-  if (static_cast<uint64_t>(in.gcount()) != byte_size) {
-    return Status::InvalidArgument(
-        "CSV dataset '" + path +
-        "' is shorter than its recorded shard extents (file changed)");
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
-Result<DenseMatrix> ParseCsvShardBuffer(const std::string& buffer,
+// ----------------------------------------------------- CSV shard scanning ---
+
+Result<DenseMatrix> ParseCsvShardBuffer(std::string_view buffer,
                                         const std::string& path,
                                         int expect_rows, int cols) {
   DenseMatrix x(expect_rows, cols);
-  std::vector<std::string> cells;
-  std::vector<double> row;
   int filled = 0;
-  size_t pos = 0;
-  size_t line_no = 0;
-  while (pos < buffer.size()) {
-    size_t eol = buffer.find('\n', pos);
-    if (eol == std::string::npos) eol = buffer.size();
-    std::string line = buffer.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    cells = SplitCsvLine(line);
+  for (CsvLine line; NextCsvLine(buffer, &line); ++filled) {
     if (filled >= expect_rows ||
-        cells.size() != static_cast<size_t>(cols)) {
+        CountCsvCells(line.text) != static_cast<size_t>(cols)) {
       return Status::InvalidArgument(
           "CSV dataset '" + path +
           "' shard layout mismatch at shard-relative line " +
-          std::to_string(line_no) + " (file changed)");
+          std::to_string(line.line_no) + " (file changed)");
     }
-    const Status parsed = ParseCsvCells(cells, line_no, path, &row);
+    const Status parsed =
+        ParseCsvRow(line.text, line.line_no, path, x.row(filled));
     if (!parsed.ok()) return parsed;
-    std::memcpy(x.row(filled), row.data(),
-                static_cast<size_t>(cols) * sizeof(double));
-    ++filled;
   }
   if (filled != expect_rows) {
     return Status::InvalidArgument(
@@ -143,18 +111,22 @@ Result<DenseMatrix> ParseCsvShardBuffer(const std::string& buffer,
 
 namespace {
 
-/// Self-contained open + read + parse of one shard (the cache loader).
-Result<DenseMatrix> ParseShardExtent(const std::string& path,
-                                     uint64_t byte_offset, uint64_t byte_size,
-                                     int expect_rows, int cols) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open '" + path + "' for reading");
+/// Reads one shard's byte extent from an already-open stream and parses it
+/// (seeks, so extents need not be contiguous — blank lines between shards
+/// belong to neither). A short read means the file shrank since it was
+/// scanned.
+Result<DenseMatrix> ReadShard(std::ifstream& in, const std::string& path,
+                              const DatasetShard& shard, int cols) {
+  std::string buffer(static_cast<size_t>(shard.byte_size), '\0');
+  in.clear();
+  in.seekg(static_cast<std::streamoff>(shard.byte_offset));
+  if (!in.read(buffer.data(), static_cast<std::streamsize>(buffer.size()))) {
+    return Status::InvalidArgument(
+        "CSV dataset '" + path +
+        "' is shorter than its recorded shard extents (file changed)");
   }
-  std::string buffer;
-  const Status read = ReadShardBytes(in, path, byte_offset, byte_size, &buffer);
-  if (!read.ok()) return read;
-  return ParseCsvShardBuffer(buffer, path, expect_rows, cols);
+  return ParseCsvShardBuffer(buffer, path, shard.row_end - shard.row_begin,
+                             cols);
 }
 
 }  // namespace
@@ -165,76 +137,36 @@ Result<CsvShardScan> ScanCsvIntoShards(const std::string& path,
   if (!in) {
     return Status::IoError("cannot open '" + path + "' for reading");
   }
+  // Pass one: structure — shape, raggedness, and each shard's byte extent.
   CsvShardScan scan;
-  uint64_t offset = 0;
-  std::string line;
-  size_t expected_cols = 0;
-  bool first = true;
-  size_t line_no = 0;
-  int data_rows = 0;
-  while (std::getline(in, line)) {
-    const uint64_t line_begin = offset;
-    // getline consumed line.size() chars plus one '\n' — except when it
-    // stopped at EOF (a final unterminated line), where eofbit is set. The
-    // '\r' of a CRLF line stays in `line` here (stripped below), so offsets
-    // are exact for CRLF and missing-trailing-newline files alike.
-    offset += static_cast<uint64_t>(line.size()) + (in.eof() ? 0 : 1);
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    const size_t cells = SplitCsvLine(line).size();
-    if (first && has_header) {
-      expected_cols = cells;
-      first = false;
-      continue;
-    }
-    if (first) {
-      expected_cols = cells;
-      first = false;
-    } else if (cells != expected_cols) {
-      return Status::InvalidArgument(
-          "ragged CSV row at line " + std::to_string(line_no) + " in '" +
-          path + "'");
-    }
-    if (data_rows % shard_rows == 0) {
-      DatasetShard shard;
-      shard.row_begin = data_rows;
-      shard.byte_offset = line_begin;
-      scan.shards.push_back(shard);
-    }
-    DatasetShard& shard = scan.shards.back();
-    shard.row_end = data_rows + 1;
-    shard.byte_size = offset - shard.byte_offset;
-    ++data_rows;
-  }
-  if (data_rows == 0) {
+  std::vector<std::string> header;
+  size_t cols = 0;
+  const Status structure = ForEachCsvDataLine(
+      in, path, has_header, &header, &cols, [&](const CsvLine& line) {
+        if (scan.rows % shard_rows == 0) {
+          scan.shards.push_back(
+              {.row_begin = scan.rows, .byte_offset = line.begin});
+        }
+        DatasetShard& shard = scan.shards.back();
+        shard.row_end = ++scan.rows;
+        shard.byte_size = line.end - shard.byte_offset;
+        return Status::Ok();
+      });
+  if (!structure.ok()) return structure;
+  if (scan.rows == 0) {
     return Status::InvalidArgument("CSV dataset '" + path +
                                    "' contains no data rows");
   }
-  if (expected_cols == 0) {
-    return Status::InvalidArgument("CSV dataset '" + path +
-                                   "' has zero columns");
-  }
-  scan.rows = data_rows;
-  scan.cols = static_cast<int>(expected_cols);
+  scan.cols = static_cast<int>(cols);
   // Pass two: value hashes. The whole-dataset chain is exactly
   // `HashDenseContent`'s — (rows, cols, then all values row-major) — folded
-  // one shard at a time, streaming through a single reopened handle (one
-  // seek per shard, not one open: a large dataset has many shards).
-  std::ifstream values_in(path, std::ios::binary);
-  if (!values_in) {
-    return Status::IoError("cannot open '" + path + "' for reading");
-  }
+  // one shard at a time, streaming through pass one's handle (one seek per
+  // shard, not one open: a large dataset has many shards).
   uint64_t whole = kFnv1aOffset;
   whole = Fnv1aFold(whole, static_cast<uint64_t>(scan.rows));
   whole = Fnv1aFold(whole, static_cast<uint64_t>(scan.cols));
-  std::string buffer;
   for (DatasetShard& shard : scan.shards) {
-    const Status read = ReadShardBytes(values_in, path, shard.byte_offset,
-                                       shard.byte_size, &buffer);
-    if (!read.ok()) return read;
-    Result<DenseMatrix> values = ParseCsvShardBuffer(
-        buffer, path, shard.row_end - shard.row_begin, scan.cols);
+    Result<DenseMatrix> values = ReadShard(in, path, shard, scan.cols);
     if (!values.ok()) return values.status();
     const DenseMatrix& x = values.value();
     shard.content_hash = HashShardContent(shard.row_begin, shard.row_end, x);
@@ -831,8 +763,11 @@ Result<DenseMatrix> CsvDataSource::LoadShard(int index) const {
     shard = spec_.shards[static_cast<size_t>(index)];
     cols = spec_.cols;
   }
-  return ParseShardExtent(path, shard.byte_offset, shard.byte_size,
-                          shard.row_end - shard.row_begin, cols);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::IoError("cannot open '" + path + "' for reading");
+  }
+  return ReadShard(in, path, shard, cols);
 }
 
 Result<std::shared_ptr<const DenseMatrix>> CsvDataSource::AcquireShard(

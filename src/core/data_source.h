@@ -487,12 +487,15 @@ Result<CsvShardScan> ScanCsvIntoShards(const std::string& path,
 
 /// Parses the data lines of one shard's byte extent (however it was
 /// obtained — local read or HTTP `Range:` response body) into an
-/// `expect_rows` x `cols` matrix. Every cell goes through the same
-/// `SplitCsvLine`/`ParseCsvCells` pair as `ReadCsv`, so a value parsed from
-/// a shard is bit-identical to the whole-file parse. Any structural
-/// surprise — ragged/extra/missing lines — is `kInvalidArgument` (the
-/// origin changed since it was scanned). `origin` only feeds messages.
-Result<DenseMatrix> ParseCsvShardBuffer(const std::string& buffer,
+/// `expect_rows` x `cols` matrix. Lines are split by the same zero-copy
+/// `NextCsvLine` and cells parsed by the same `ParseCsvRow` as
+/// `ReadCsv`, so a value parsed from a shard is bit-identical to the
+/// whole-file parse. Any structural surprise — ragged/extra/missing lines —
+/// is `kInvalidArgument` (the origin changed since it was scanned), and a
+/// line's cell count is checked before any of its cells is parsed.
+/// `buffer` may be a slice of a larger body; nothing past it is read.
+/// `origin` only feeds messages.
+Result<DenseMatrix> ParseCsvShardBuffer(std::string_view buffer,
                                         const std::string& origin,
                                         int expect_rows, int cols);
 

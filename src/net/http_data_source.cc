@@ -342,7 +342,7 @@ Result<DenseMatrix> HttpDataSource::LoadShard(int index) const {
                            "' returned HTTP " +
                            std::to_string(response.status));
   }
-  return ParseCsvShardBuffer(std::string(body), spec_.path,
+  return ParseCsvShardBuffer(body, spec_.path,
                              shard.row_end - shard.row_begin, cols);
 }
 

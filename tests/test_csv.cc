@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <memory>
+#include <random>
 
 namespace least {
 namespace {
@@ -147,6 +153,129 @@ TEST_F(CsvTest, TrailingGarbageAfterNumberAccepted) {
   auto result = ReadCsv(path_, false);
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result.value().rows[0][0], 1.5);
+}
+
+// --- cell semantics: the zero-copy parser against the strtod rule ---
+
+struct CellVerdict {
+  bool ok = false;
+  uint64_t bits = 0;
+  std::string message;
+};
+
+/// The reference cell rule the parser must match bit for bit: `strtod` on
+/// the whole cell, refusing no numeric prefix and ERANGE as non-numeric
+/// and nan/inf as non-finite.
+CellVerdict ReferenceCell(const std::string& cell) {
+  const std::string where = "' at line 7 in 'ref.csv'";
+  CellVerdict verdict;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(cell.c_str(), &end);
+  if (end == cell.c_str() || errno == ERANGE) {
+    verdict.message = "non-numeric CSV cell '" + cell + where;
+  } else if (!std::isfinite(v)) {
+    verdict.message = "non-finite CSV cell '" + cell + where;
+  } else {
+    verdict.ok = true;
+    std::memcpy(&verdict.bits, &v, sizeof(v));
+  }
+  return verdict;
+}
+
+CellVerdict ParsedCell(const std::string& cell) {
+  // An exactly-sized heap copy with no terminator, so a read past the cell
+  // shows up under ASan.
+  std::unique_ptr<char[]> bytes(new char[cell.size()]);
+  std::memcpy(bytes.get(), cell.data(), cell.size());
+  CellVerdict verdict;
+  double v = 0.0;
+  const Status s = ParseCsvRow(std::string_view(bytes.get(), cell.size()),
+                               /*line_no=*/7, "ref.csv", &v);
+  verdict.ok = s.ok();
+  if (s.ok()) {
+    std::memcpy(&verdict.bits, &v, sizeof(v));
+  } else {
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << cell;
+    verdict.message = s.message();
+  }
+  return verdict;
+}
+
+/// Empty when the parser agrees with the reference on `cell`.
+std::string CellDifference(const std::string& cell) {
+  const CellVerdict want = ReferenceCell(cell);
+  const CellVerdict got = ParsedCell(cell);
+  if (want.ok != got.ok || want.bits != got.bits ||
+      want.message != got.message) {
+    return "cell '" + cell + "': reference " +
+           (want.ok ? "accepts" : "refuses") + ", parser " +
+           (got.ok ? "accepts" : "refuses") + " (" + got.message + ")";
+  }
+  return "";
+}
+
+TEST(CsvCellRule, EdgeCellsMatchStrtodReference) {
+  const std::vector<std::string> cells = {
+      " 1", "+1", "0x10", "0X1p3", "1e", "1e+", "-0", "0", ".5", "-.5",
+      "5.", "-", ".", "", "1e-310", "4.9e-324", "2.2250738585072011e-308",
+      "2.2250738585072014e-308", "1e-400", "1e999", "-1e999", "-nan",
+      "nan", "NaN", "inf", "-inf", "INF", "infinity", "-Infinity",
+      "1.7976931348623157e308", "1.7976931348623159e308", "1e5x", "1.5x",
+      "12345678901234567890123456789012345678901234567890",
+      "1.2345678901234567890123456789012345678901234567890e-5", "1e5",
+      "-2e-3", "1E5", "0.1", "3"};
+  for (const std::string& cell : cells) {
+    EXPECT_EQ(CellDifference(cell), "");
+  }
+  // Sanity of the table itself: the interesting verdicts are the lenient
+  // strtod ones and the refused range edges.
+  EXPECT_TRUE(ReferenceCell(" 1").ok);
+  EXPECT_TRUE(ReferenceCell("0x10").ok);
+  EXPECT_TRUE(ReferenceCell("1e5x").ok);
+  EXPECT_FALSE(ReferenceCell("1e-310").ok);
+  EXPECT_FALSE(ReferenceCell("1e999").ok);
+  EXPECT_FALSE(ReferenceCell("-nan").ok);
+}
+
+TEST(CsvCellRule, DifferentialFuzzAgainstStrtodReference) {
+  std::mt19937_64 rng(20211);
+  const std::string alphabet = "0123456789.-+eExXpP nai";
+  size_t differences = 0;
+  std::string first;
+  auto check = [&](const std::string& cell) {
+    const std::string diff = CellDifference(cell);
+    if (diff.empty()) return;
+    if (differences++ == 0) first = diff;
+  };
+  for (int i = 0; i < 1000000; ++i) {
+    std::string cell(1 + rng() % 8, ' ');
+    for (char& c : cell) c = alphabet[rng() % alphabet.size()];
+    check(cell);
+  }
+  char text[64];
+  for (int i = 0; i < 200000; ++i) {
+    const uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (!std::isfinite(v)) continue;
+    std::snprintf(text, sizeof(text), "%.17g", v);
+    check(text);
+  }
+  EXPECT_EQ(differences, 0u) << first;
+}
+
+TEST(CsvCellRule, CellsSplitOnEveryComma) {
+  double out[4] = {};
+  ASSERT_TRUE(ParseCsvRow("1,-2.5,3e2,0x10", 1, "p", out).ok());
+  EXPECT_EQ(out[0], 1.0);
+  EXPECT_EQ(out[1], -2.5);
+  EXPECT_EQ(out[2], 300.0);
+  EXPECT_EQ(out[3], 16.0);
+  EXPECT_EQ(CountCsvCells("1,2,"), 3u);
+  const Status trailing = ParseCsvRow("1,2,", 4, "p.csv", out);
+  EXPECT_EQ(trailing.message(),
+            "non-numeric CSV cell '' at line 4 in 'p.csv'");
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <vector>
 
 #include "runtime/thread_pool.h"
@@ -530,6 +532,74 @@ TEST(DatasetCacheTest, StatsCountsExactlyThroughBudgetEvictReloadRefuse) {
 
   std::remove(pa.c_str());
   std::remove(pb.c_str());
+}
+
+// --- shard-buffer structure rules (ParseCsvShardBuffer) ---
+
+TEST(ParseCsvShardBuffer, RaggedLineIsLayoutMismatchBeforeItsCellsParse) {
+  // Line 2 has a bad cell *and* the wrong cell count: the count wins, in
+  // either direction.
+  for (const char* buffer : {"1,2\n3,x,5\n", "1,2\nx\n"}) {
+    const Result<DenseMatrix> parsed =
+        ParseCsvShardBuffer(buffer, "shard.csv", 2, 2);
+    ASSERT_FALSE(parsed.ok()) << buffer;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(),
+              "CSV dataset 'shard.csv' shard layout mismatch at "
+              "shard-relative line 2 (file changed)");
+  }
+}
+
+TEST(ParseCsvShardBuffer, ExtraAndMissingLinesRefused) {
+  const Result<DenseMatrix> extra =
+      ParseCsvShardBuffer("1,2\n3,4\n5,6\n", "s", 2, 2);
+  ASSERT_FALSE(extra.ok());
+  EXPECT_EQ(extra.status().message(),
+            "CSV dataset 's' shard layout mismatch at shard-relative line 3 "
+            "(file changed)");
+  const Result<DenseMatrix> missing = ParseCsvShardBuffer("1,2\n", "s", 2, 2);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().message(),
+            "CSV dataset 's' shard holds 1 rows where 2 were recorded "
+            "(file changed)");
+  EXPECT_FALSE(ParseCsvShardBuffer("", "s", 1, 2).ok());
+}
+
+TEST(ParseCsvShardBuffer, CrlfBlankLinesAndUnterminatedLastLine) {
+  const Result<DenseMatrix> parsed =
+      ParseCsvShardBuffer("1,2\r\n\r\n\n-3.5,4e1", "s", 2, 2);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const DenseMatrix& x = parsed.value();
+  EXPECT_EQ(x(0, 0), 1.0);
+  EXPECT_EQ(x(0, 1), 2.0);
+  EXPECT_EQ(x(1, 0), -3.5);
+  EXPECT_EQ(x(1, 1), 40.0);
+  // Blank lines still count toward the shard-relative line number.
+  const Result<DenseMatrix> bad =
+      ParseCsvShardBuffer("1,2\r\n\n3,y\r\n", "s", 2, 2);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(),
+            "non-numeric CSV cell 'y' at line 3 in 's'");
+}
+
+TEST(ParseCsvShardBuffer, SliceOfALargerBufferIsReadToItsEndOnly) {
+  // The bytes after the slice would change the last cell if read.
+  const std::string body = "9,9\n1,2\n3,45\n";
+  const std::string_view slice = std::string_view(body).substr(4, 7);
+  ASSERT_EQ(slice, "1,2\n3,4");
+  const Result<DenseMatrix> parsed = ParseCsvShardBuffer(slice, "s", 2, 2);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value()(1, 1), 4.0);
+  // An exactly-sized heap copy with no terminator: any read past the end
+  // is a heap overflow under ASan, on the fast and the strtod path alike.
+  for (const std::string cells : {"1,2\n3,4", "1,2\n3,4x", "1,2\n3,+4"}) {
+    std::unique_ptr<char[]> bytes(new char[cells.size()]);
+    std::memcpy(bytes.get(), cells.data(), cells.size());
+    const Result<DenseMatrix> exact = ParseCsvShardBuffer(
+        std::string_view(bytes.get(), cells.size()), "s", 2, 2);
+    ASSERT_TRUE(exact.ok()) << cells;
+    EXPECT_EQ(exact.value()(1, 1), 4.0) << cells;
+  }
 }
 
 // --- corruption sweep (the serializer-fuzz pattern, applied to CSV) ---
