@@ -329,10 +329,10 @@ fi
 
 # Optional sanitizer pass over the data-plane and net tests: LEAST_SANITIZE=1
 # configures a second build tree with ASan+UBSan and runs the tests that
-# exercise cache eviction lifetimes, CSV parsing, checkpoint parsing,
-# scheduler concurrency, and the HTTP stack (parser fuzz sweep, loopback
-# service end-to-end, connection churn). Kept separate from the main tree so
-# incremental builds stay fast.
+# exercise cache eviction lifetimes, CSV parsing, checkpoint parsing, the
+# learners' shared augmented-Lagrangian driver, scheduler concurrency, and
+# the HTTP stack (parser fuzz sweep, loopback service end-to-end, connection
+# churn). Kept separate from the main tree so incremental builds stay fast.
 if [[ "${LEAST_SANITIZE:-0}" != "0" ]]; then
   san_dir="${SANITIZE_BUILD_DIR:-build-sanitize}"
   cd "$repo_root"
@@ -344,12 +344,13 @@ if [[ "${LEAST_SANITIZE:-0}" != "0" ]]; then
         test_sharded_cache \
         test_fleet_scheduler test_fleet_scheduling test_model_serializer \
         test_serializer_fuzz \
-        test_checkpoint_resume test_trace_log test_obs_metrics \
+        test_checkpoint_resume test_learner_edge_cases test_least_sparse \
+        test_trace_log test_obs_metrics \
         test_http_parser test_http_client test_remote_shards \
         test_net_service test_net_stress \
         test_failpoint test_chaos_fleet
   cd "$san_dir"
   ctest --output-on-failure --no-tests=error -R \
-        '^(test_data_source|test_csv|test_fleet_data_plane|test_sharded_cache|test_fleet_scheduler|test_fleet_scheduling|test_model_serializer|test_serializer_fuzz|test_checkpoint_resume|test_trace_log|test_obs_metrics|test_http_parser|test_http_client|test_remote_shards|test_net_service|test_net_stress|test_failpoint|test_chaos_fleet)$'
+        '^(test_data_source|test_csv|test_fleet_data_plane|test_sharded_cache|test_fleet_scheduler|test_fleet_scheduling|test_model_serializer|test_serializer_fuzz|test_checkpoint_resume|test_learner_edge_cases|test_least_sparse|test_trace_log|test_obs_metrics|test_http_parser|test_http_client|test_remote_shards|test_net_service|test_net_stress|test_failpoint|test_chaos_fleet)$'
   echo "check.sh: sanitizer pass green"
 fi

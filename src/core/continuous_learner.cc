@@ -1,13 +1,103 @@
 #include "core/continuous_learner.h"
 
-#include <cmath>
-#include <cstdio>
-
 #include "constraint/expm_trace.h"
-#include "opt/adam.h"
-#include "util/stopwatch.h"
+#include "core/augmented_lagrangian.h"
 
 namespace least {
+
+namespace {
+
+// Dense parameter storage for `RunAugmentedLagrangian`: W is a d x d matrix,
+// the constraint any `AcyclicityConstraint` (evaluated through its virtual
+// interface, so decorators see every call).
+class DenseStorage {
+ public:
+  using Weights = DenseMatrix;
+  static constexpr bool kSparse = false;
+  static constexpr DenseMatrix TrainState::* kStored = &TrainState::dense_w;
+  static constexpr const char* kWrongKind =
+      "cannot resume a dense learner from a sparse train state";
+  static constexpr const char* kWrongShape =
+      "train state shape does not match the sample matrix";
+  static constexpr const char* kWrongMoments =
+      "train state Adam moments do not match the weight matrix";
+
+  static size_t NumParams(const DenseMatrix& w) { return w.size(); }
+
+  DenseStorage(const DenseMatrix& x, const AcyclicityConstraint& constraint,
+               const LearnOptions& opt,
+               const ContinuousLearner::SnapshotCallback& snapshot)
+      : opt_(opt),
+        constraint_(constraint),
+        snapshot_(snapshot),
+        loss_(&x, opt.lambda1, opt.batch_size, &ws_),
+        w_(x.cols(), x.cols()),
+        loss_grad_(x.cols(), x.cols()),
+        constraint_grad_(x.cols(), x.cols()) {}
+
+  std::string_view name() const { return constraint_.name(); }
+  DenseMatrix& weights() { return w_; }
+  std::span<double> params() { return w_.data(); }
+  std::span<const double> gradient() const { return loss_grad_.data(); }
+
+  void Init(Rng& rng) {
+    const int d = w_.cols();
+    if (opt_.init_density > 0.0 && opt_.init_density < 1.0) {
+      // Glorot-uniform values on a random sparse support (paper Fig. 3
+      // INNER line 1); the mass vanishes for tiny ζ·d², which reduces to the
+      // standard zero start used by NOTEARS.
+      const long long cells = static_cast<long long>(d) * (d - 1);
+      long long want = static_cast<long long>(opt_.init_density * cells);
+      for (long long t = 0; t < want; ++t) {
+        const int i = rng.UniformInt(d);
+        const int j = rng.UniformInt(d);
+        if (i != j) w_(i, j) = rng.GlorotUniform(d, d);
+      }
+    }
+  }
+
+  Status Step(double rho, double eta, Rng& rng, double* constraint,
+              double* loss) {
+    *constraint = constraint_.Evaluate(w_, &constraint_grad_, &ws_);
+    *loss = loss_.ValueAndGradient(w_, &loss_grad_, rng);
+    // ∇ℓ = ∇L + (ρ·δ + η)·∇δ   (see the driver header on the Fig. 3 typo).
+    loss_grad_.AddScaled(constraint_grad_, rho * *constraint + eta);
+    return Status::Ok();
+  }
+
+  void Project(bool cull) {
+    w_.FillDiagonal(0.0);  // no self-loops
+    if (cull) w_.ApplyThreshold(opt_.filter_threshold);
+  }
+
+  double EndRound() { return constraint_.Evaluate(w_, nullptr, &ws_); }
+
+  void Record(int outer, double constraint, TracePoint* tp) {
+    tp->nnz = w_.CountNonZeros();
+    if (opt_.track_exact_h) tp->h_value = exact_h_.Evaluate(w_, nullptr, &ws_);
+    if (snapshot_) snapshot_(outer, w_, constraint);
+  }
+
+  void Prune() { w_.ApplyThreshold(opt_.prune_threshold); }
+
+ private:
+  const LearnOptions& opt_;
+  const AcyclicityConstraint& constraint_;
+  const ContinuousLearner::SnapshotCallback& snapshot_;
+  // Per-Fit scratch arena: the loss checks its persistent buffers out here,
+  // and every constraint evaluation draws its temporaries from scoped
+  // checkouts above them — steady-state iterations allocate nothing (the
+  // zero-allocation proof lives in tests/test_workspace.cc). Local to the
+  // call, so Fit stays const + reentrant.
+  Workspace ws_;
+  LeastSquaresLoss loss_;
+  ExpmTraceConstraint exact_h_;  // optional tracker (small d only)
+  DenseMatrix w_;
+  DenseMatrix loss_grad_;
+  DenseMatrix constraint_grad_;
+};
+
+}  // namespace
 
 ContinuousLearner::ContinuousLearner(
     std::unique_ptr<AcyclicityConstraint> constraint,
@@ -20,304 +110,43 @@ LearnResult ContinuousLearner::Fit(const DenseMatrix& x) const {
   return FitInternal(x, nullptr);
 }
 
-namespace {
-
-// Prepares a source and materializes its dense view; on failure fills
-// `result` with the error and returns null.
-std::shared_ptr<const DenseMatrix> MaterializeDense(const DataSource& data,
-                                                    LearnResult* result) {
-  const Status prepared = data.Prepare();
-  if (!prepared.ok()) {
-    result->status = prepared;
-    return nullptr;
-  }
-  Result<std::shared_ptr<const DenseMatrix>> dense = data.Dense();
-  if (!dense.ok()) {
-    result->status = dense.status();
-    return nullptr;
-  }
-  return std::move(dense).value();
-}
-
-}  // namespace
-
 LearnResult ContinuousLearner::Fit(const DataSource& data) const {
-  LearnResult result;
-  std::shared_ptr<const DenseMatrix> x = MaterializeDense(data, &result);
-  if (x == nullptr) return result;
-  return FitInternal(*x, nullptr);
-}
-
-LearnResult ContinuousLearner::ResumeFit(const TrainState& state,
-                                         const DataSource& data) const {
-  LearnResult result;
-  std::shared_ptr<const DenseMatrix> x = MaterializeDense(data, &result);
-  if (x == nullptr) return result;
-  return ResumeFit(state, *x);
+  return FitInternal(data, nullptr);
 }
 
 LearnResult ContinuousLearner::ResumeFit(const TrainState& state,
                                          const DenseMatrix& x) const {
-  LearnResult result;
-  if (state.sparse) {
-    result.status = Status::InvalidArgument(
-        "cannot resume a dense learner from a sparse train state");
-    return result;
-  }
-  if (state.dense_w.rows() != x.cols() || state.dense_w.cols() != x.cols()) {
-    result.status = Status::InvalidArgument(
-        "train state shape does not match the sample matrix");
-    return result;
-  }
-  if (state.outer < 1 || state.inner_steps < 0) {
-    result.status = Status::InvalidArgument("corrupt train state indices");
-    return result;
-  }
-  if (state.inner_steps > 0 &&
-      (state.adam_m.size() != state.dense_w.size() ||
-       state.adam_m.size() != state.adam_v.size())) {
-    result.status = Status::InvalidArgument(
-        "train state Adam moments do not match the weight matrix");
-    return result;
-  }
   return FitInternal(x, &state);
+}
+
+LearnResult ContinuousLearner::ResumeFit(const TrainState& state,
+                                         const DataSource& data) const {
+  return FitInternal(data, &state);
+}
+
+LearnResult ContinuousLearner::FitInternal(const DataSource& data,
+                                           const TrainState* resume) const {
+  LearnResult result;
+  result.status = data.Prepare();
+  if (!result.status.ok()) return result;
+  Result<std::shared_ptr<const DenseMatrix>> dense = data.Dense();
+  if (!dense.ok()) {
+    result.status = dense.status();
+    return result;
+  }
+  return FitInternal(*dense.value(), resume);
 }
 
 LearnResult ContinuousLearner::FitInternal(const DenseMatrix& x,
                                            const TrainState* resume) const {
-  LearnResult result;
   if (x.rows() == 0 || x.cols() == 0) {
+    LearnResult result;
     result.status = Status::InvalidArgument("empty sample matrix");
     return result;
   }
-  const int d = x.cols();
-  const LearnOptions& opt = options_;
-  Stopwatch watch;
-  Rng rng(opt.seed);
-
-  // Per-Fit scratch arena: the loss checks its persistent buffers out here,
-  // and every constraint evaluation draws its temporaries from scoped
-  // checkouts above them — steady-state iterations allocate nothing (the
-  // zero-allocation proof lives in tests/test_workspace.cc). Local to the
-  // call, so Fit stays const + reentrant.
-  Workspace ws;
-  LeastSquaresLoss loss(&x, opt.lambda1, opt.batch_size, &ws);
-  ExpmTraceConstraint exact_h;  // optional tracker (small d only)
-
-  DenseMatrix w(d, d);
-  if (resume == nullptr) {
-    if (opt.init_density > 0.0 && opt.init_density < 1.0) {
-      // Glorot-uniform values on a random sparse support (paper Fig. 3
-      // INNER line 1); the mass vanishes for tiny ζ·d², which reduces to the
-      // standard zero start used by NOTEARS.
-      const long long cells = static_cast<long long>(d) * (d - 1);
-      long long want = static_cast<long long>(opt.init_density * cells);
-      for (long long t = 0; t < want; ++t) {
-        const int i = rng.UniformInt(d);
-        const int j = rng.UniformInt(d);
-        if (i != j) w(i, j) = rng.GlorotUniform(d, d);
-      }
-    }
-  }
-
-  DenseMatrix loss_grad(d, d);
-  DenseMatrix constraint_grad(d, d);
-
-  double rho = opt.rho_init;
-  double eta = opt.eta_init;
-  double constraint_value = 0.0;
-  double prev_round_constraint = std::numeric_limits<double>::infinity();
-  int start_outer = 1;
-  double time_offset = 0.0;
-  bool resume_mid_round = false;
-
-  if (resume != nullptr) {
-    // The RNG state is the linchpin: it encodes the init draws and every
-    // mini-batch drawn so far, so the continuation consumes the exact
-    // stream the uninterrupted run would have.
-    if (!rng.LoadState(resume->rng_state)) {
-      result.status = Status::InvalidArgument(
-          "train state carries an unparsable RNG state");
-      return result;
-    }
-    w = resume->dense_w;
-    rho = resume->rho;
-    eta = resume->eta;
-    prev_round_constraint = resume->prev_round_constraint;
-    constraint_value = resume->constraint_value;
-    start_outer = resume->outer;
-    resume_mid_round = resume->inner_steps > 0;
-    time_offset = resume->elapsed_seconds;
-    result.trace = resume->trace;
-    result.inner_iterations = resume->total_inner;
-    result.outer_iterations = resume->outer - 1;
-  }
-
-  const bool use_h_termination = opt.terminate_on_h && opt.track_exact_h;
-  bool converged = false;
-
-  // One optimizer hoisted out of the round loop; each round re-initializes
-  // it in place (same semantics as a fresh Adam, without the per-round
-  // moment-buffer allocation).
-  Adam adam(0);
-
-  // Cooperative cancellation: polled between rounds and at the inner
-  // convergence-check cadence, so a fleet Cancel() interrupts within a few
-  // optimizer steps instead of after a full Fit. Every poll site is also a
-  // snapshot site: the returned result carries a TrainState from which
-  // ResumeFit continues bit-identically.
-  auto stop_requested = [this]() { return stop_ != nullptr && stop_(); };
-  auto make_state = [&](int outer, int inner_steps, const Adam* adam,
-                        double prev_objective, double last_loss) {
-    auto state = CaptureTrainState(
-        adam, rho, eta, prev_round_constraint, outer, inner_steps,
-        prev_objective, last_loss, constraint_value, result.inner_iterations,
-        result.trace, time_offset + watch.Seconds(), rng);
-    state->sparse = false;
-    state->dense_w = w;
-    return state;
-  };
-  auto cancelled_result = [&](int outer,
-                              std::shared_ptr<const TrainState> state) {
-    result.status = Status::Cancelled("stop requested at outer round " +
-                                      std::to_string(outer));
-    result.train_state = std::move(state);
-    result.raw_weights = w;
-    result.weights = w;
-    result.weights.ApplyThreshold(opt.prune_threshold);
-    result.constraint_value = constraint_value;
-    result.seconds = time_offset + watch.Seconds();
-    return std::move(result);
-  };
-
-  for (int outer = start_outer; outer <= opt.max_outer_iterations; ++outer) {
-    const bool resuming_here = resume_mid_round && outer == start_outer;
-    if (!resuming_here) {
-      if (stop_requested()) {
-        return cancelled_result(
-            outer, make_state(outer, 0, nullptr,
-                              std::numeric_limits<double>::infinity(), 0.0));
-      }
-      if (checkpoint_ != nullptr && outer > 1 &&
-          (outer - 1) % checkpoint_every_ == 0) {
-        checkpoint_(*make_state(outer, 0, nullptr,
-                                std::numeric_limits<double>::infinity(), 0.0));
-      }
-    }
-    const double lr = std::max(
-        opt.learning_rate * std::pow(opt.lr_decay, outer - 1),
-        0.05 * opt.learning_rate);
-    adam.Reinitialize(w.size(), {.learning_rate = lr});
-    double prev_objective = std::numeric_limits<double>::infinity();
-    double last_loss = 0.0;
-    int inner_done = 0;
-    int inner_start = 1;
-    if (resuming_here) {
-      adam.Restore({resume->adam_m, resume->adam_v, resume->adam_t});
-      prev_objective = resume->prev_objective;
-      last_loss = resume->last_loss;
-      inner_done = resume->inner_steps;
-      inner_start = resume->inner_steps + 1;
-    }
-    for (int inner = inner_start; inner <= opt.max_inner_iterations; ++inner) {
-      constraint_value = constraint_->Evaluate(w, &constraint_grad, &ws);
-      const double loss_value = loss.ValueAndGradient(w, &loss_grad, rng);
-      const double objective = loss_value +
-                               0.5 * rho * constraint_value * constraint_value +
-                               eta * constraint_value;
-      if (!std::isfinite(objective)) {
-        result.status = Status::NotConverged(
-            "objective diverged (non-finite) at outer round " +
-            std::to_string(outer));
-        result.raw_weights = w;
-        result.weights = w;
-        result.weights.ApplyThreshold(opt.prune_threshold);
-        result.seconds = time_offset + watch.Seconds();
-        return result;
-      }
-      // ∇ℓ = ∇L + (ρ·δ + η)·∇δ   (see header note on the Fig. 3 typo).
-      loss_grad.AddScaled(constraint_grad, rho * constraint_value + eta);
-      adam.Step(w.data(), loss_grad.data());
-      w.FillDiagonal(0.0);  // no self-loops
-      if (outer > opt.threshold_warmup_rounds) {
-        w.ApplyThreshold(opt.filter_threshold);
-      }
-      last_loss = loss_value;
-      ++inner_done;
-      if (inner % opt.inner_check_every == 0) {
-        const double rel = std::fabs(objective - prev_objective) /
-                           std::max(1.0, std::fabs(prev_objective));
-        if (rel < opt.inner_rtol) break;
-        prev_objective = objective;
-        // Polled after the convergence bookkeeping so a snapshot taken here
-        // re-enters the loop at inner + 1 with no replayed work.
-        if (stop_requested()) {
-          return cancelled_result(
-              outer, make_state(outer, inner, &adam, prev_objective,
-                                last_loss));
-        }
-      }
-    }
-    result.inner_iterations += inner_done;
-    result.outer_iterations = outer;
-
-    // Re-evaluate the constraint after the final inner step.
-    constraint_value = constraint_->Evaluate(w, nullptr, &ws);
-
-    TracePoint tp;
-    tp.outer = outer;
-    tp.seconds = time_offset + watch.Seconds();
-    tp.constraint_value = constraint_value;
-    tp.loss = last_loss;
-    tp.nnz = w.CountNonZeros();
-    if (opt.track_exact_h) {
-      tp.h_value = exact_h.Evaluate(w, nullptr, &ws);
-    }
-    result.trace.push_back(tp);
-    if (snapshot_) snapshot_(outer, w, constraint_value);
-    if (opt.verbose) {
-      std::fprintf(stderr,
-                   "[%s] outer=%d inner=%d constraint=%.3e loss=%.4f "
-                   "rho=%.1e t=%.1fs\n",
-                   std::string(constraint_->name()).c_str(), outer,
-                   inner_done, constraint_value, last_loss, rho,
-                   tp.seconds);
-    }
-
-    // Termination: on h(W) when configured (the paper's benchmark rule),
-    // otherwise on the learner's own constraint value.
-    const bool met = use_h_termination
-                         ? (tp.h_value >= 0.0 && tp.h_value <= opt.tolerance)
-                         : constraint_value <= opt.tolerance;
-    if (met) {
-      converged = true;
-      break;
-    }
-
-    // Dual update, then penalty growth under the progress rule
-    // (paper Fig. 3 lines 4–5 plus the standard NOTEARS refinement).
-    eta += rho * constraint_value;
-    if (constraint_value > opt.rho_progress_ratio * prev_round_constraint) {
-      rho = std::min(rho * opt.rho_growth, opt.rho_max);
-    }
-    prev_round_constraint = constraint_value;
-  }
-
-  result.raw_weights = w;
-  w.ApplyThreshold(opt.prune_threshold);
-  result.weights = std::move(w);
-  result.constraint_value = constraint_value;
-  result.seconds = time_offset + watch.Seconds();
-  if (converged) {
-    result.status = Status::Ok();
-  } else {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3e", constraint_value);
-    result.status = Status::NotConverged(
-        std::string("constraint ") + buf + " above tolerance after " +
-        std::to_string(result.outer_iterations) + " outer rounds");
-  }
-  return result;
+  DenseStorage storage(x, *constraint_, options_, snapshot_);
+  return RunAugmentedLagrangian(storage, options_, stop_, checkpoint_,
+                                checkpoint_every_, resume);
 }
 
 }  // namespace least

@@ -1,20 +1,13 @@
 /// \file continuous_learner.h
 /// \brief Dense augmented-Lagrangian structure learner (paper Fig. 3).
 ///
-/// Solves  min_W L(W, X) + (ρ/2)·c(W)² + η·c(W)  over outer rounds that
-/// grow ρ and update η ← η + ρ·c(W*), where c is any pluggable
-/// `AcyclicityConstraint`. With the spectral bound this is LEAST (dense,
-/// the LEAST-TF analog); with the expm-trace constraint it is the NOTEARS
-/// baseline under an identical optimization harness, which is exactly the
-/// fair-comparison setup of the paper's Section V.
-///
-/// Deviations from the paper's pseudocode, both deliberate:
-///  * Fig. 3 line 1 re-initializes W inside INNER; we warm-start W across
-///    outer rounds (re-initializing would discard all progress — standard
-///    augmented-Lagrangian practice and what every NOTEARS implementation
-///    does).
-///  * Fig. 3 line 7 reads (ρ + δ(W))∇δ; the derivative of
-///    (ρ/2)δ² + ηδ is (ρδ + η)∇δ, which is what we use.
+/// Runs the augmented-Lagrangian driver shared with LEAST-SP
+/// (`core/augmented_lagrangian.h`, which also documents the deliberate
+/// deviations from the paper's pseudocode) over a dense W, with c any
+/// pluggable `AcyclicityConstraint`. With the spectral bound this is LEAST
+/// (dense, the LEAST-TF analog); with the expm-trace constraint it is the
+/// NOTEARS baseline under an identical optimization harness, which is
+/// exactly the fair-comparison setup of the paper's Section V.
 
 #pragma once
 
@@ -29,7 +22,7 @@
 
 namespace least {
 
-/// \brief Augmented-Lagrangian driver over a dense W.
+/// \brief Augmented-Lagrangian learner over a dense W.
 ///
 /// Thread safety: `Fit` is `const` and reentrant. All per-run mutable state
 /// (the optimizer's Adam moments, the RNG, the loss scratch buffers, W
@@ -37,11 +30,9 @@ namespace least {
 /// implementations are stateless, so one learner may serve concurrent `Fit`
 /// calls from multiple fleet-scheduler threads; identical options + data
 /// yield bitwise-identical results regardless of interleaving. The
-/// setters (`set_snapshot_callback`, `set_stop_predicate`,
-/// `set_checkpoint_callback`) are NOT synchronized — configure the learner
-/// before sharing it, and make the callbacks themselves thread-safe when
-/// `Fit` runs concurrently.
-class ContinuousLearner {
+/// setters, `set_snapshot_callback` included, are NOT synchronized (see
+/// `TrainHooks`).
+class ContinuousLearner : public TrainHooks {
  public:
   /// Called at the end of every outer round with the current raw W and the
   /// constraint value; used by the evaluation harness to snapshot W at
@@ -49,33 +40,12 @@ class ContinuousLearner {
   using SnapshotCallback =
       std::function<void(int outer, const DenseMatrix& w, double constraint)>;
 
-  /// Polled between optimization rounds; returning true makes `Fit` stop
-  /// early with `kCancelled`. Used by the fleet runtime for cooperative
-  /// job cancellation.
-  using StopPredicate = std::function<bool()>;
-
-  /// Receives a resumable `TrainState` at outer-round boundaries (see
-  /// `set_checkpoint_callback`); the state may be serialized and later fed
-  /// to `ResumeFit` — in this or another process.
-  using CheckpointCallback = std::function<void(const TrainState&)>;
-
   /// Takes ownership of `constraint`.
   ContinuousLearner(std::unique_ptr<AcyclicityConstraint> constraint,
                     const LearnOptions& options);
 
   void set_snapshot_callback(SnapshotCallback cb) {
     snapshot_ = std::move(cb);
-  }
-
-  void set_stop_predicate(StopPredicate stop) { stop_ = std::move(stop); }
-
-  /// Installs a periodic checkpoint sink: invoked at the top of an outer
-  /// round whenever `every_n_outer` rounds have completed since the last
-  /// snapshot point. The callback runs on the `Fit` thread.
-  void set_checkpoint_callback(CheckpointCallback cb, int every_n_outer = 1) {
-    LEAST_CHECK(every_n_outer >= 1);
-    checkpoint_ = std::move(cb);
-    checkpoint_every_ = every_n_outer;
   }
 
   /// Learns a weighted DAG from the n x d sample matrix.
@@ -108,13 +78,12 @@ class ContinuousLearner {
 
  private:
   LearnResult FitInternal(const DenseMatrix& x, const TrainState* resume) const;
+  LearnResult FitInternal(const DataSource& data,
+                          const TrainState* resume) const;
 
   std::unique_ptr<AcyclicityConstraint> constraint_;
   LearnOptions options_;
   SnapshotCallback snapshot_;
-  StopPredicate stop_;
-  CheckpointCallback checkpoint_;
-  int checkpoint_every_ = 1;
 };
 
 }  // namespace least

@@ -112,11 +112,14 @@ struct TracePoint {
   int64_t nnz = 0;               ///< support size of W at that point
 };
 
-/// \brief Outcome of a structure-learning run.
-struct LearnResult {
+/// \brief Outcome of a structure-learning run over weight storage `W`: a
+/// `DenseMatrix` (`LearnResult`) or, for LEAST-SP, a `CsrMatrix`
+/// (`SparseLearnResult`, whose pruned weights are also compacted).
+template <typename W>
+struct BasicLearnResult {
   Status status;              ///< OK, or kNotConverged with diagnostics
-  DenseMatrix weights;        ///< learned W after final τ-pruning
-  DenseMatrix raw_weights;    ///< W before final pruning
+  W weights;                  ///< learned W after final τ-pruning
+  W raw_weights;              ///< W before final pruning
   double constraint_value = 0.0;  ///< constraint at exit
   int outer_iterations = 0;
   long long inner_iterations = 0;
@@ -126,5 +129,7 @@ struct LearnResult {
   /// `core/train_state.h`); null on every other status.
   std::shared_ptr<const TrainState> train_state;
 };
+
+using LearnResult = BasicLearnResult<DenseMatrix>;
 
 }  // namespace least

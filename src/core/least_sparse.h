@@ -16,10 +16,12 @@
 /// Thresholded entries are physically removed (pattern compaction) at outer
 /// round boundaries, which keeps later rounds proportionally cheaper — the
 /// "W remains sparse throughout the optimization" property of Section IV.
+/// The outer loop, including its deliberate deviations from the paper's
+/// pseudocode, lives in `core/augmented_lagrangian.h`, shared with the
+/// dense learner.
 
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -31,38 +33,15 @@
 
 namespace least {
 
-/// \brief Outcome of a sparse structure-learning run.
-struct SparseLearnResult {
-  Status status;
-  CsrMatrix weights;          ///< learned W after final τ-pruning, compacted
-  CsrMatrix raw_weights;      ///< W before final pruning
-  double constraint_value = 0.0;
-  int outer_iterations = 0;
-  long long inner_iterations = 0;
-  double seconds = 0.0;
-  std::vector<TracePoint> trace;
-  /// Set on `kCancelled`: resumable snapshot of the interrupted run (see
-  /// `core/train_state.h`); null on every other status.
-  std::shared_ptr<const TrainState> train_state;
-};
+using SparseLearnResult = BasicLearnResult<CsrMatrix>;
 
 /// \brief Sparse LEAST learner.
 ///
 /// Thread safety: `Fit` is `const` and reentrant (all mutable state is
 /// per-call); one learner may serve concurrent `Fit` calls. Configure via
 /// the setters before sharing across threads.
-class LeastSparseLearner {
+class LeastSparseLearner : public TrainHooks {
  public:
-  /// Polled at outer-round boundaries and at the inner convergence-check
-  /// cadence; returning true stops `Fit` early with `kCancelled` and a
-  /// resumable `SparseLearnResult::train_state` (see
-  /// `ContinuousLearner::StopPredicate`).
-  using StopPredicate = std::function<bool()>;
-
-  /// Receives a resumable `TrainState` at outer-round boundaries (see
-  /// `set_checkpoint_callback`).
-  using CheckpointCallback = std::function<void(const TrainState&)>;
-
   explicit LeastSparseLearner(const LearnOptions& options);
 
   /// Extra (from, to) entries merged into the random initial pattern.
@@ -71,17 +50,6 @@ class LeastSparseLearner {
   /// empty).
   void set_candidate_edges(std::vector<std::pair<int, int>> edges) {
     candidate_edges_ = std::move(edges);
-  }
-
-  void set_stop_predicate(StopPredicate stop) { stop_ = std::move(stop); }
-
-  /// Installs a periodic checkpoint sink invoked at the top of an outer
-  /// round whenever `every_n_outer` rounds have completed since the last
-  /// snapshot point. The callback runs on the `Fit` thread.
-  void set_checkpoint_callback(CheckpointCallback cb, int every_n_outer = 1) {
-    LEAST_CHECK(every_n_outer >= 1);
-    checkpoint_ = std::move(cb);
-    checkpoint_every_ = every_n_outer;
   }
 
   /// Learns a sparse weighted DAG from the data source. The source is
@@ -104,9 +72,6 @@ class LeastSparseLearner {
 
   LearnOptions options_;
   std::vector<std::pair<int, int>> candidate_edges_;
-  StopPredicate stop_;
-  CheckpointCallback checkpoint_;
-  int checkpoint_every_ = 1;
 };
 
 /// Convenience: runs LEAST-SP over an in-memory dense sample matrix.

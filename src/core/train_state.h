@@ -18,19 +18,18 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/learn_options.h"
 #include "linalg/csr_matrix.h"
 #include "linalg/dense_matrix.h"
+#include "util/check.h"
 
 namespace least {
-
-class Adam;  // opt/adam.h
-class Rng;   // util/rng.h
 
 /// \brief Serializable snapshot of an in-flight structure-learning run.
 struct TrainState {
@@ -65,16 +64,38 @@ struct TrainState {
   std::string rng_state;          ///< textual mt19937_64 state (Rng::SaveState)
 };
 
-/// Fills every learner-agnostic field of a snapshot — Adam moments (when a
-/// round is in flight), schedule scalars, loop position, accumulated trace,
-/// elapsed time, and the RNG stream. Both learners' capture paths go
-/// through this so the common fields can never drift; the caller sets only
-/// the W field (`dense_w` or `sparse_w`) and the `sparse` flag.
-std::shared_ptr<TrainState> CaptureTrainState(
-    const Adam* adam, double rho, double eta, double prev_round_constraint,
-    int outer, int inner_steps, double prev_objective, double last_loss,
-    double constraint_value, long long total_inner,
-    const std::vector<TracePoint>& trace, double elapsed_seconds,
-    const Rng& rng);
+/// \brief The cooperative-stop and periodic-checkpoint hooks both learners
+/// expose; `core/augmented_lagrangian.h` polls them. The setters are NOT
+/// synchronized — configure a learner before sharing it, and make the
+/// callbacks themselves thread-safe when `Fit` runs concurrently.
+class TrainHooks {
+ public:
+  /// Polled at outer-round boundaries and at the inner convergence-check
+  /// cadence; returning true stops `Fit` early with `kCancelled` and a
+  /// resumable `train_state` in the result. Used by the fleet runtime for
+  /// cooperative job cancellation.
+  using StopPredicate = std::function<bool()>;
+
+  /// Receives a resumable `TrainState` at outer-round boundaries (see
+  /// `set_checkpoint_callback`); the state may be serialized and later fed
+  /// to `ResumeFit` — in this or another process.
+  using CheckpointCallback = std::function<void(const TrainState&)>;
+
+  void set_stop_predicate(StopPredicate stop) { stop_ = std::move(stop); }
+
+  /// Installs a periodic checkpoint sink: invoked at the top of an outer
+  /// round whenever `every_n_outer` rounds have completed since the last
+  /// snapshot point. The callback runs on the `Fit` thread.
+  void set_checkpoint_callback(CheckpointCallback cb, int every_n_outer = 1) {
+    LEAST_CHECK(every_n_outer >= 1);
+    checkpoint_ = std::move(cb);
+    checkpoint_every_ = every_n_outer;
+  }
+
+ protected:
+  StopPredicate stop_;
+  CheckpointCallback checkpoint_;
+  int checkpoint_every_ = 1;
+};
 
 }  // namespace least

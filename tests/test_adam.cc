@@ -1,12 +1,10 @@
-// Tests for opt/adam.h and opt/sgd.h.
+// Tests for opt/adam.h.
 
 #include "opt/adam.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-
-#include "opt/sgd.h"
 
 namespace least {
 namespace {
@@ -142,34 +140,6 @@ TEST(Adam, SnapshotAfterCompactIsAsSparseAsTheParameters) {
   adam.Step(p2, g2);
   resumed.Step(p3, g2);
   EXPECT_EQ(p2, p3);
-}
-
-TEST(Sgd, PlainStep) {
-  Sgd sgd(2, 0.5);
-  std::vector<double> p = {1.0, 2.0};
-  std::vector<double> g = {2.0, -4.0};
-  sgd.Step(p, g);
-  EXPECT_DOUBLE_EQ(p[0], 0.0);
-  EXPECT_DOUBLE_EQ(p[1], 4.0);
-}
-
-TEST(Sgd, MomentumAccumulates) {
-  Sgd sgd(1, 1.0, 0.5);
-  std::vector<double> p = {0.0};
-  std::vector<double> g = {1.0};
-  sgd.Step(p, g);  // v=1, p=-1
-  sgd.Step(p, g);  // v=1.5, p=-2.5
-  EXPECT_DOUBLE_EQ(p[0], -2.5);
-}
-
-TEST(Sgd, MinimizesQuadratic) {
-  Sgd sgd(1, 0.1, 0.0);
-  std::vector<double> p = {10.0};
-  for (int t = 0; t < 200; ++t) {
-    std::vector<double> g = {2.0 * (p[0] - 3.0)};
-    sgd.Step(p, g);
-  }
-  EXPECT_NEAR(p[0], 3.0, 1e-6);
 }
 
 }  // namespace

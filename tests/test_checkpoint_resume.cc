@@ -3,8 +3,9 @@
 // run at EVERY cooperative cancellation point, persist the captured
 // TrainState through the format-v2 serializer, resume from the loaded
 // state, and assert the final weights are bit-identical to the
-// uninterrupted run. Also covers the fleet-level wiring: periodic
-// checkpoint sinks and the resume-from-checkpoint job mode.
+// uninterrupted run. Also covers periodic checkpoint sinks, resuming on a
+// lazy source that has not been prepared yet, and the fleet-level wiring:
+// the resume-from-checkpoint job mode.
 
 #include <gtest/gtest.h>
 
@@ -311,6 +312,108 @@ TEST(CheckpointResume, PeriodicCheckpointCallbackStatesAreResumable) {
     ExpectBitIdenticalDense(resumed.raw_weights, baseline.raw_weights);
     EXPECT_EQ(resumed.inner_iterations, baseline.inner_iterations);
   }
+}
+
+TEST(CheckpointResume, SparsePeriodicCheckpointStatesAreResumable) {
+  // The sparse learner's periodic sink: states at the same round-top
+  // cadence as the dense one, each continuing to the baseline result.
+  BenchmarkConfig cfg;
+  cfg.d = 6;
+  cfg.seed = 21;
+  const BenchmarkInstance inst = MakeBenchmarkInstance(cfg);
+  LearnOptions opt;
+  opt.max_outer_iterations = 6;
+  opt.max_inner_iterations = 20;
+  opt.batch_size = 16;
+  opt.seed = 23;
+  // No θ-cull and a zero tolerance: the bound never reaches 0, so the fit
+  // runs all 6 rounds and the sink fires at the tops of rounds 3 and 5.
+  opt.filter_threshold = 0.0;
+  opt.tolerance = 0.0;
+  std::vector<std::pair<int, int>> all_pairs;
+  for (int i = 0; i < cfg.d; ++i) {
+    for (int j = 0; j < cfg.d; ++j) {
+      if (i != j) all_pairs.emplace_back(i, j);
+    }
+  }
+  auto make = [&]() {
+    LeastSparseLearner learner(opt);
+    learner.set_candidate_edges(all_pairs);
+    return learner;
+  };
+  OwningDenseDataSource source(inst.x);
+  const SparseLearnResult baseline = make().Fit(source);
+
+  std::vector<TrainState> checkpoints;
+  LeastSparseLearner learner = make();
+  learner.set_checkpoint_callback(
+      [&checkpoints](const TrainState& s) { checkpoints.push_back(s); },
+      /*every_n_outer=*/2);
+  const SparseLearnResult full = learner.Fit(source);
+  ExpectBitIdenticalSparse(full.raw_weights, baseline.raw_weights);
+  ASSERT_GE(checkpoints.size(), 2u);
+  for (size_t c = 0; c < checkpoints.size(); ++c) {
+    const TrainState& state = checkpoints[c];
+    EXPECT_TRUE(state.sparse);
+    EXPECT_EQ(state.outer, 3 + 2 * static_cast<int>(c));  // every 2 rounds
+    EXPECT_EQ(state.inner_steps, 0);  // sink fires at round boundaries
+    const SparseLearnResult resumed = make().ResumeFit(state, source);
+    EXPECT_EQ(resumed.status.code(), baseline.status.code());
+    ExpectBitIdenticalSparse(resumed.raw_weights, baseline.raw_weights);
+    ExpectBitIdenticalSparse(resumed.weights, baseline.weights);
+    EXPECT_EQ(resumed.inner_iterations, baseline.inner_iterations);
+  }
+}
+
+TEST(CheckpointResume, SparseResumeOnUnpreparedCsvSourceIsBitIdentical) {
+  // A lazy CSV source reports its shape only once prepared, so the resume
+  // must be validated against the prepared source: a cancelled fit resumes
+  // on a fresh, never-prepared source for the same file.
+  DenseMatrix w_true(10, 10);
+  w_true(0, 1) = 1.5;
+  w_true(1, 2) = -1.2;
+  w_true(3, 4) = 1.0;
+  w_true(6, 8) = 1.8;
+  Rng rng(31);
+  const DenseMatrix x = SampleLsem(w_true, 200, {}, rng).value();
+  const std::string path =
+      testing::TempDir() + "/least_ckpt_sparse_resume.csv";
+  ASSERT_TRUE(WriteMatrixCsv(path, x).ok());
+  CsvSourceOptions csv;
+  csv.has_header = false;
+
+  LearnOptions opt;
+  opt.max_outer_iterations = 4;
+  opt.max_inner_iterations = 30;
+  opt.inner_check_every = 5;
+  opt.batch_size = 32;
+  opt.seed = 37;
+  auto make = [&]() {
+    LeastSparseLearner learner(opt);
+    learner.set_candidate_edges({{0, 1}, {1, 2}, {3, 4}, {6, 8}, {8, 9}});
+    return learner;
+  };
+  const SparseLearnResult baseline = make().Fit(*MakeCsvSource(path, csv));
+  ASSERT_NE(baseline.status.code(), StatusCode::kInvalidArgument)
+      << baseline.status.ToString();
+
+  int polls = 0;
+  LeastSparseLearner learner = make();
+  learner.set_stop_predicate([&polls]() { return polls++ >= 2; });
+  const SparseLearnResult cancelled = learner.Fit(*MakeCsvSource(path, csv));
+  ASSERT_EQ(cancelled.status.code(), StatusCode::kCancelled);
+  ASSERT_NE(cancelled.train_state, nullptr);
+  EXPECT_EQ(cancelled.train_state->outer, 1);
+
+  const SparseLearnResult resumed =
+      make().ResumeFit(*cancelled.train_state, *MakeCsvSource(path, csv));
+  ASSERT_EQ(resumed.status.code(), baseline.status.code())
+      << resumed.status.ToString();
+  ExpectBitIdenticalSparse(resumed.raw_weights, baseline.raw_weights);
+  ExpectBitIdenticalSparse(resumed.weights, baseline.weights);
+  EXPECT_EQ(resumed.outer_iterations, baseline.outer_iterations);
+  EXPECT_EQ(resumed.inner_iterations, baseline.inner_iterations);
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointResume, FleetCheckpointSinkAndResumeJobMode) {
